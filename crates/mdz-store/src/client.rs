@@ -14,6 +14,7 @@
 //! transparently reconnecting across server restarts (INFO and GET are
 //! idempotent, so a retried poll can never double-deliver).
 
+use std::io::Write;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::ops::Range;
 use std::time::Duration;
@@ -363,6 +364,11 @@ pub struct Client {
 impl Client {
     /// Connects to a running server.
     ///
+    /// The socket always has Nagle disabled (`TCP_NODELAY`): a request is
+    /// written whole and then waited on, so there is nothing to coalesce,
+    /// and a small segment held back for the server's delayed ACK would
+    /// add about 40 ms to the round trip.
+    ///
     /// # Examples
     ///
     /// ```no_run
@@ -372,7 +378,9 @@ impl Client {
     /// # Ok::<(), mdz_store::ClientError>(())
     /// ```
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Client, ClientError> {
-        Ok(Client { stream: TcpStream::connect(addr)?, max_response_bytes: 1 << 28 })
+        let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
+        Ok(Client { stream, max_response_bytes: 1 << 28 })
     }
 
     /// Caps how large a response body this client will read (default 256 MiB).
@@ -580,9 +588,13 @@ impl Client {
         &mut self,
         requests: &[Request],
     ) -> Result<Vec<Result<Reply, ClientError>>, ClientError> {
+        // Frame the whole batch into one buffer so it leaves in a single
+        // write, and the server reads the requests together.
+        let mut batch = Vec::new();
         for request in requests {
-            write_message(&mut self.stream, &request.encode())?;
+            write_message(&mut batch, &request.encode())?;
         }
+        self.stream.write_all(&batch)?;
         let mut replies = Vec::with_capacity(requests.len());
         for request in requests {
             let body = read_message(&mut self.stream, self.max_response_bytes)?
@@ -831,6 +843,13 @@ fn is_transient_for_follow(err: &ClientError) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn connected_clients_disable_nagle() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = Client::connect(listener.local_addr().unwrap()).unwrap();
+        assert!(client.stream.nodelay().unwrap());
+    }
 
     #[test]
     fn io_errors_classify_timeouts() {

@@ -8,7 +8,7 @@
 //! ownership stays single-threaded by construction.
 
 use std::collections::VecDeque;
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 use std::net::TcpStream;
 use std::os::fd::{AsRawFd, RawFd};
 use std::time::Instant;
@@ -20,6 +20,10 @@ use super::sys::Poller;
 /// Per-read scratch cap: one `read` call per slot, bounded so a firehose
 /// peer cannot monopolize a shard tick (level-triggered polling re-arms).
 const MAX_READS_PER_TICK: usize = 16;
+
+/// Most slices one flush pass hands to `write_vectored` (two per queued
+/// response), well under every platform's `IOV_MAX`.
+const MAX_FLUSH_SLICES: usize = 64;
 
 /// What a read pass against the socket produced.
 pub(crate) enum ReadOutcome {
@@ -36,13 +40,8 @@ pub(crate) struct Conn {
     stream: TcpStream,
     /// Reassembles length-prefixed requests from arbitrary read chunks.
     pub(crate) decoder: FrameDecoder,
-    /// Pending output chunks (length prefixes and response bodies
-    /// interleaved), written front-first.
-    queue: VecDeque<Vec<u8>>,
-    /// Bytes of the front chunk already written.
-    front_written: usize,
-    /// Total unsent bytes across `queue` (the backpressure quantity).
-    pub(crate) queued_bytes: usize,
+    /// Framed responses waiting for the socket.
+    queue: WriteQueue,
     /// Whether this connection holds an admission slot (shed connections
     /// do not; they only exist to deliver a BUSY response).
     pub(crate) admitted: bool,
@@ -89,9 +88,7 @@ impl Conn {
         Ok(Conn {
             stream,
             decoder: FrameDecoder::new(max_body),
-            queue: VecDeque::new(),
-            front_written: 0,
-            queued_bytes: 0,
+            queue: WriteQueue::default(),
             admitted,
             shed: !admitted,
             close_after_flush: false,
@@ -119,15 +116,14 @@ impl Conn {
         self.queue.is_empty()
     }
 
-    /// Queues one framed response (4-byte little-endian length prefix, then
-    /// the body) without copying the body.
+    /// Total unsent bytes (the backpressure quantity).
+    pub(crate) fn queued_bytes(&self) -> usize {
+        self.queue.bytes
+    }
+
+    /// Queues one framed response without copying the body.
     pub(crate) fn enqueue(&mut self, body: Vec<u8>) {
-        let prefix = (body.len() as u32).to_le_bytes().to_vec();
-        self.queued_bytes += prefix.len() + body.len();
-        self.queue.push_back(prefix);
-        if !body.is_empty() {
-            self.queue.push_back(body);
-        }
+        self.queue.push(body);
     }
 
     /// Half-closes the write side and starts the bounded EOF linger.
@@ -138,49 +134,29 @@ impl Conn {
         }
     }
 
-    /// Writes queued chunks until the socket blocks or the queue empties.
+    /// Writes queued responses until the socket blocks or the queue
+    /// empties. Each pass is one `write_vectored` over up to
+    /// [`MAX_FLUSH_SLICES`] slices, so a flush that drains the queue (the
+    /// common case, pipelined responses included) costs one syscall.
     /// Progress clears the write-blocked clock; a block with bytes still
     /// queued starts it (the shard's sweep kills stalled readers from it).
     /// `Err` means the socket is dead.
     pub(crate) fn flush(&mut self) -> std::io::Result<()> {
-        loop {
-            let remaining = match self.queue.front() {
-                None => {
-                    self.write_blocked_since = None;
-                    return Ok(());
-                }
-                Some(front) => front.len() - self.front_written,
-            };
-            if remaining == 0 {
-                self.queue.pop_front();
-                self.front_written = 0;
-                continue;
-            }
-            let res = {
-                let front = self.queue.front().expect("checked above");
-                self.stream.write(&front[self.front_written..])
-            };
-            match res {
-                Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
-                Ok(n) => {
-                    self.front_written += n;
-                    self.queued_bytes -= n;
-                    self.write_blocked_since = None;
-                    if n == remaining {
-                        self.queue.pop_front();
-                        self.front_written = 0;
-                    }
-                }
+        while !self.queue.is_empty() {
+            match self.queue.write_to(&mut self.stream) {
+                Ok(_) => self.write_blocked_since = None,
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                     if self.write_blocked_since.is_none() {
                         self.write_blocked_since = Some(Instant::now());
                     }
                     return Ok(());
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
             }
         }
+        self.write_blocked_since = None;
+        Ok(())
     }
 
     /// Pulls available bytes off the socket into the decoder (or the void,
@@ -234,6 +210,71 @@ impl Conn {
     }
 }
 
+/// One queued response: the length prefix inline, the body as built.
+struct Framed {
+    prefix: [u8; 4],
+    body: Vec<u8>,
+}
+
+/// Framed responses in send order, with the count of bytes of the front
+/// one already written.
+#[derive(Default)]
+struct WriteQueue {
+    frames: VecDeque<Framed>,
+    front_written: usize,
+    /// Unsent bytes across `frames`.
+    bytes: usize,
+}
+
+impl WriteQueue {
+    fn push(&mut self, body: Vec<u8>) {
+        self.bytes += 4 + body.len();
+        self.frames.push_back(Framed { prefix: (body.len() as u32).to_le_bytes(), body });
+    }
+
+    fn is_empty(&self) -> bool {
+        self.frames.is_empty()
+    }
+
+    /// Offers the unsent bytes to `w` in one bounded `write_vectored` call
+    /// and drops what it accepted; returns the count accepted. `Ok(0)`
+    /// becomes `WriteZero`.
+    fn write_to(&mut self, w: &mut impl Write) -> std::io::Result<usize> {
+        let mut slices = [IoSlice::new(&[]); MAX_FLUSH_SLICES];
+        let mut used = 0;
+        let mut skip = self.front_written;
+        'fill: for frame in &self.frames {
+            for part in [&frame.prefix[..], &frame.body[..]] {
+                if skip >= part.len() {
+                    skip -= part.len();
+                    continue;
+                }
+                if used == MAX_FLUSH_SLICES {
+                    break 'fill;
+                }
+                slices[used] = IoSlice::new(&part[skip..]);
+                used += 1;
+                skip = 0;
+            }
+        }
+        let n = w.write_vectored(&slices[..used])?;
+        if n == 0 {
+            return Err(std::io::ErrorKind::WriteZero.into());
+        }
+        self.bytes -= n;
+        self.front_written += n;
+        while let Some(front) = self.frames.front() {
+            let len = front.prefix.len() + front.body.len();
+            if self.front_written < len {
+                break;
+            }
+            self.front_written -= len;
+            self.frames.pop_front();
+        }
+        Ok(n)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -251,14 +292,137 @@ mod tests {
         let (mut client, server) = pair();
         let mut conn = Conn::new(server, 1 << 20, true).unwrap();
         conn.enqueue(vec![7u8; 10]);
-        assert_eq!(conn.queued_bytes, 14);
+        conn.enqueue(vec![8u8; 2]);
+        assert_eq!(conn.queued_bytes(), 14 + 6);
         conn.flush().unwrap();
         assert!(conn.queue_empty());
-        assert_eq!(conn.queued_bytes, 0);
-        let mut got = [0u8; 14];
+        assert_eq!(conn.queued_bytes(), 0);
+        let mut got = [0u8; 20];
         client.read_exact(&mut got).unwrap();
         assert_eq!(&got[..4], &10u32.to_le_bytes());
-        assert_eq!(&got[4..], &[7u8; 10]);
+        assert_eq!(&got[4..14], &[7u8; 10]);
+        assert_eq!(&got[14..18], &2u32.to_le_bytes());
+        assert_eq!(&got[18..], &[8u8; 2]);
+    }
+
+    /// A sink that accepts at most `per_call` bytes of each
+    /// `write_vectored` call, gathering across slices like `writev`, and
+    /// records how many slices each call was offered.
+    struct ShortSink {
+        per_call: usize,
+        out: Vec<u8>,
+        offered_slices: Vec<usize>,
+    }
+
+    impl ShortSink {
+        fn new(per_call: usize) -> Self {
+            ShortSink { per_call, out: Vec::new(), offered_slices: Vec::new() }
+        }
+    }
+
+    impl Write for ShortSink {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            self.offered_slices.push(bufs.len());
+            let before = self.out.len();
+            for buf in bufs {
+                let room = self.per_call - (self.out.len() - before);
+                self.out.extend_from_slice(&buf[..buf.len().min(room)]);
+            }
+            Ok(self.out.len() - before)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn framed(bodies: &[&[u8]]) -> Vec<u8> {
+        let mut wire = Vec::new();
+        for body in bodies {
+            wire.extend_from_slice(&(body.len() as u32).to_le_bytes());
+            wire.extend_from_slice(body);
+        }
+        wire
+    }
+
+    #[test]
+    fn partial_writes_resume_mid_prefix_and_mid_body() {
+        let a: Vec<u8> = (1..=10).collect();
+        let b = vec![0xEE; 3];
+        let mut queue = WriteQueue::default();
+        queue.push(a.clone());
+        queue.push(b.clone());
+        assert_eq!(queue.bytes, 21);
+
+        // Stops two bytes into A's prefix.
+        let mut sink = ShortSink::new(2);
+        assert_eq!(queue.write_to(&mut sink).unwrap(), 2);
+        assert_eq!((queue.frames.len(), queue.front_written, queue.bytes), (2, 2, 19));
+        // Resumes mid-prefix and stops three bytes into A's body.
+        sink.per_call = 5;
+        assert_eq!(queue.write_to(&mut sink).unwrap(), 5);
+        assert_eq!((queue.frames.len(), queue.front_written, queue.bytes), (2, 7, 14));
+        // Finishes A and stops one byte into B's prefix.
+        sink.per_call = 8;
+        assert_eq!(queue.write_to(&mut sink).unwrap(), 8);
+        assert_eq!((queue.frames.len(), queue.front_written, queue.bytes), (1, 1, 6));
+        // Resumes mid-prefix and stops one byte into B's body.
+        sink.per_call = 4;
+        assert_eq!(queue.write_to(&mut sink).unwrap(), 4);
+        assert_eq!((queue.frames.len(), queue.front_written, queue.bytes), (1, 5, 2));
+        sink.per_call = usize::MAX;
+        assert_eq!(queue.write_to(&mut sink).unwrap(), 2);
+        assert!(queue.is_empty());
+        assert_eq!((queue.front_written, queue.bytes), (0, 0));
+
+        assert_eq!(sink.out, framed(&[&a, &b]));
+        // Every pass offered everything unsent (no slice for a written part).
+        assert_eq!(sink.offered_slices, vec![4, 4, 3, 2, 1]);
+    }
+
+    #[test]
+    fn pipelined_responses_drain_in_one_vectored_write() {
+        let bodies: Vec<Vec<u8>> = (0..5u8).map(|i| vec![i; usize::from(i) + 1]).collect();
+        let mut queue = WriteQueue::default();
+        for body in &bodies {
+            queue.push(body.clone());
+        }
+        let mut sink = ShortSink::new(usize::MAX);
+        queue.write_to(&mut sink).unwrap();
+        assert!(queue.is_empty());
+        assert_eq!(sink.offered_slices, vec![10]);
+        let refs: Vec<&[u8]> = bodies.iter().map(Vec::as_slice).collect();
+        assert_eq!(sink.out, framed(&refs));
+    }
+
+    #[test]
+    fn one_pass_offers_a_bounded_number_of_slices() {
+        let mut queue = WriteQueue::default();
+        for i in 0..40u8 {
+            queue.push(vec![i]);
+        }
+        let mut sink = ShortSink::new(usize::MAX);
+        assert_eq!(queue.write_to(&mut sink).unwrap(), 32 * 5);
+        assert_eq!(queue.frames.len(), 8);
+        queue.write_to(&mut sink).unwrap();
+        assert!(queue.is_empty());
+        assert_eq!(sink.offered_slices, vec![MAX_FLUSH_SLICES, 16]);
+        let bodies: Vec<[u8; 1]> = (0..40u8).map(|i| [i]).collect();
+        let refs: Vec<&[u8]> = bodies.iter().map(|b| &b[..]).collect();
+        assert_eq!(sink.out, framed(&refs));
+    }
+
+    #[test]
+    fn a_sink_that_takes_nothing_is_write_zero() {
+        let mut queue = WriteQueue::default();
+        queue.push(vec![1, 2, 3]);
+        let err = queue.write_to(&mut ShortSink::new(0)).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::WriteZero);
+        assert_eq!((queue.frames.len(), queue.front_written, queue.bytes), (1, 0, 7));
     }
 
     #[test]

@@ -441,7 +441,7 @@ impl<'a> Shard<'a> {
                     return;
                 }
             }
-            if conn.reading_paused && conn.queued_bytes <= self.cfg.max_write_buffer / 2 {
+            if conn.reading_paused && conn.queued_bytes() <= self.cfg.max_write_buffer / 2 {
                 conn.reading_paused = false;
                 // Frames decoded before the pause may still be buffered; the
                 // socket won't re-signal for them, so pump — and loop to
@@ -543,7 +543,8 @@ impl<'a> Shard<'a> {
                     served += 1;
                     let conn = self.conns.get_mut(&fd).expect("checked above");
                     conn.enqueue(response);
-                    if conn.queued_bytes >= self.cfg.max_write_buffer.max(1) && !conn.reading_paused
+                    if conn.queued_bytes() >= self.cfg.max_write_buffer.max(1)
+                        && !conn.reading_paused
                     {
                         conn.reading_paused = true;
                         self.obs.incr("server.net.backpressure_stalls", 1);

@@ -41,7 +41,6 @@
 //! same lock so followers observe the new frames immediately. Without a
 //! sink, APPEND is answered with [`Status::BadRequest`] (read-only server).
 
-use std::io::Write;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -560,8 +559,11 @@ fn handle_connection(
 ) {
     let obs = Obs::new(reader.recorder());
     set_write_timeout(&stream, cfg.write_timeout, &obs);
-    // Responses are written whole; Nagle + delayed ACK would park small
-    // replies for ~40 ms under client-side pipelining.
+    // Each response leaves in one `write_message` call, so Nagle has
+    // nothing to coalesce; left on, it would hold back the tail of a
+    // response the kernel took in pieces, or a reply sent while an earlier
+    // one is still unacknowledged, until the client's delayed ACK
+    // (~40 ms). `Client` disables Nagle on its side for the same reason.
     let _ = stream.set_nodelay(true);
     loop {
         let body = match next_request(&mut stream, cfg, stop, &obs, body_budget) {
@@ -609,7 +611,6 @@ fn handle_connection(
             }
             return;
         }
-        let _ = stream.flush();
     }
 }
 
