@@ -1,10 +1,11 @@
-//! Throughput sweep over the parallel block engine.
+//! Throughput sweep over the parallel trajectory types.
 //!
 //! Not a paper artifact: the paper reports single-threaded throughput only
 //! (Fig. 13). This experiment seeds the repository's performance
 //! trajectory — it sweeps worker counts over the ADP/VQ/VQT/MT codecs on
 //! the default dataset, measuring compression and decompression MB/s and
-//! the speedup against the serial path, and writes the machine-readable
+//! the speedup against the serial path (any worker count above one runs
+//! the three axis streams on one thread each), and writes the machine-readable
 //! `BENCH_throughput.json` consumed by `scripts/verify.sh` and
 //! EXPERIMENTS.md.
 
@@ -157,7 +158,7 @@ pub fn throughput(ctx: &mut Ctx) -> Vec<Table> {
     // One axis of the same stream, for the single-core scalar-vs-SIMD
     // breakdown.
     let xs: Vec<Vec<f64>> = dataset.snapshots.iter().map(|s| s.x.clone()).collect();
-    // Enough buffers per axis for real fan-out at every scale.
+    // Enough buffers per axis for steady-state timing at every scale.
     let bs = if matches!(ctx.scale, Scale::Test) { 3 } else { 10 };
     let axis_buffers: Vec<Vec<Vec<f64>>> = xs.chunks(bs).map(<[Vec<f64>]>::to_vec).collect();
     let buffers: Vec<&[Frame]> = frames.chunks(bs).collect();
@@ -288,7 +289,7 @@ fn write_json(
         ("buffer_snapshots", Json::Num(bs as f64)),
         ("reps", Json::Num(reps as f64)),
         // Wall-clock speedup is bounded by the machine: on a single-core
-        // runner, workers > 1 can only measure engine overhead.
+        // runner, workers > 1 can only measure threading overhead.
         ("hardware_threads", Json::Num(hw_threads as f64)),
         (
             "entries",

@@ -39,16 +39,16 @@
 //! }
 //! ```
 //!
-//! Batch entry points ([`Compressor::compress_buffers_parallel`],
-//! [`MdzCodec::compress_buffers`], [`ParallelTrajectoryCompressor`]) fan
-//! independent axis×buffer blocks across worker threads configured by
-//! [`ParallelOptions`]; their output is byte-identical to the serial path.
+//! The trajectory batch types ([`ParallelTrajectoryCompressor`],
+//! [`ParallelTrajectoryDecompressor`]) run each axis's serial stream on
+//! its own thread when [`ParallelOptions`] asks for more than one worker;
+//! the three axes are independent streams, so their output is
+//! byte-identical to the serial path.
 
 #![deny(missing_docs)]
 
 pub mod adaptive;
 pub mod bound;
-pub mod buffer;
 pub mod checksum;
 pub mod codec;
 pub mod format;
@@ -63,15 +63,14 @@ pub use mdz_entropy::kernel;
 
 pub use adaptive::{AdaptiveState, Candidate};
 pub use bound::ErrorBound;
-pub use buffer::{BlockInfo, Compressor, DecodeLimits, Decompressor};
 pub use codec::{Codec, MdzCodec};
 pub use format::Method;
 pub use mdz_obs::{Obs, Recorder};
-pub use pipeline::parallel::ParallelOptions;
+pub use pipeline::{BlockInfo, Compressor, DecodeLimits, Decompressor};
 pub use quant::{BitAdaptiveQuantizer, LinearQuantizer};
 pub use stage::{HuffmanStage, LosslessStage, Lz77Stage, Quantizer, RangeStage};
 pub use traj::{
-    compress_frames, decompress_frames, Frame, ParallelTrajectoryCompressor,
+    compress_frames, decompress_frames, Frame, ParallelOptions, ParallelTrajectoryCompressor,
     ParallelTrajectoryDecompressor, TrajReader, TrajWriter, TrajectoryCompressor,
     TrajectoryDecompressor,
 };

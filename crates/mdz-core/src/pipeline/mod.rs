@@ -33,7 +33,6 @@
 
 pub(crate) mod decode;
 pub(crate) mod encode;
-pub mod parallel;
 pub(crate) mod predict;
 
 use crate::adaptive::{AdaptiveState, Candidate};
@@ -562,7 +561,7 @@ impl Decompressor {
     }
 }
 
-pub(crate) fn validate_shape(snapshots: &[Vec<f64>]) -> Result<()> {
+fn validate_shape(snapshots: &[Vec<f64>]) -> Result<()> {
     if snapshots.is_empty() {
         return Err(MdzError::BadInput("buffer has no snapshots"));
     }

@@ -7,11 +7,9 @@
 //! three blocks in a tiny container. The axes are MDZ by default but any
 //! [`Codec`] mix works ([`TrajectoryCompressor::from_codecs`]).
 
-use crate::buffer::{Compressor, DecodeLimits, Decompressor};
 use crate::codec::{Codec, MdzCodec};
 use crate::format::{read_frame, write_frame, FRAME_MAGIC};
-use crate::pipeline::parallel::{compress_streams, decompress_streams, ParallelOptions};
-use crate::{ErrorBound, MdzConfig, MdzError, Result};
+use crate::{Compressor, DecodeLimits, Decompressor, ErrorBound, MdzConfig, MdzError, Result};
 use mdz_entropy::{read_uvarint, write_uvarint};
 
 /// Container magic for a three-axis block group.
@@ -43,6 +41,11 @@ impl Frame {
     /// Whether the frame holds no particles.
     pub fn is_empty(&self) -> bool {
         self.x.is_empty()
+    }
+
+    /// The coordinates of axis 0 (x), 1 (y) or 2 (z).
+    fn axis(&self, axis: usize) -> &Vec<f64> {
+        [&self.x, &self.y, &self.z][axis]
     }
 }
 
@@ -80,36 +83,6 @@ impl TrajectoryCompressor {
             self.axes[2].compress_buffer(&zs, self.bound)?,
         ];
         Ok(assemble(&blocks))
-    }
-
-    /// Like [`Self::compress_buffer`] but compresses the three axes on
-    /// scoped threads. The per-axis streams are independent by design
-    /// (§III: each axis is a separate SZ stream), so the output is
-    /// byte-identical to the sequential path. This is what `Codec: Send`
-    /// buys: each thread drives one axis codec (and its scratch workspace)
-    /// exclusively.
-    pub fn compress_buffer_parallel(&mut self, frames: &[Frame]) -> Result<Vec<u8>> {
-        if frames.is_empty() {
-            return Err(MdzError::BadInput("buffer has no frames"));
-        }
-        let series: [Vec<Vec<f64>>; 3] = [
-            frames.iter().map(|f| f.x.clone()).collect(),
-            frames.iter().map(|f| f.y.clone()).collect(),
-            frames.iter().map(|f| f.z.clone()).collect(),
-        ];
-        let bound = self.bound;
-        let mut results: [Result<Vec<u8>>; 3] = [Ok(Vec::new()), Ok(Vec::new()), Ok(Vec::new())];
-        std::thread::scope(|scope| {
-            for ((axis, buf), slot) in
-                self.axes.iter_mut().zip(series.iter()).zip(results.iter_mut())
-            {
-                scope.spawn(move || {
-                    *slot = axis.compress_buffer(buf, bound);
-                });
-            }
-        });
-        let [x, y, z] = results;
-        Ok(assemble(&[x?, y?, z?]))
     }
 
     /// Like [`Self::compress_buffer`] but wraps the container in a
@@ -286,18 +259,71 @@ impl TrajectoryDecompressor {
     }
 }
 
-/// Three-axis compressor that fans axis×buffer blocks across workers.
+/// Worker configuration for [`ParallelTrajectoryCompressor`],
+/// [`ParallelTrajectoryDecompressor`] and [`TrajWriter`].
 ///
-/// Where [`TrajectoryCompressor`] parallelizes at most across the three
-/// axes (one thread each), this type feeds *every* axis×buffer block of a
-/// batch into the block engine
-/// ([`Compressor::compress_buffers_parallel`]), so a batch of `B` buffers
-/// exposes up to `3·B` units of work. Output is **byte-identical** to the
-/// serial path for every worker count. The axes are always MDZ codecs
-/// (the engine needs concrete [`Compressor`]s, not `dyn Codec`).
+/// `workers <= 1` (the default) runs the three axis streams one after
+/// another on the caller thread. Any `workers > 1` runs them on three
+/// scoped threads, one per axis, whatever the count: x, y and z are
+/// independent streams (paper §III–IV), so a batch holds three units of
+/// work. Capping the threads at two would bound the speedup at 1.5×; three
+/// threads on a two-core host measured above that on compression
+/// (DESIGN.md §9). Output is byte-identical for every worker count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ParallelOptions {
+    /// `0` and `1` both mean serial; anything larger means one thread
+    /// per axis.
+    pub workers: usize,
+}
+
+impl Default for ParallelOptions {
+    /// Serial execution on the caller thread.
+    fn default() -> Self {
+        Self::serial()
+    }
+}
+
+impl ParallelOptions {
+    /// Serial execution on the caller thread.
+    pub const fn serial() -> Self {
+        Self { workers: 1 }
+    }
+
+    /// An explicit worker count (`0` is treated as `1`).
+    pub const fn with_workers(workers: usize) -> Self {
+        Self { workers: if workers == 0 { 1 } else { workers } }
+    }
+}
+
+/// Runs `run(axis, state)` for axes 0, 1 and 2: in order on the caller
+/// thread when `workers <= 1`, otherwise on one scoped thread per axis.
+/// A panic on an axis thread resumes on the caller.
+fn on_axes<S: Send, R: Send>(
+    workers: usize,
+    axes: &mut [S; 3],
+    run: impl Fn(usize, &mut S) -> R + Sync,
+) -> [R; 3] {
+    let [x, y, z] = axes.each_mut();
+    let jobs = [(0, x), (1, y), (2, z)];
+    if workers <= 1 {
+        return jobs.map(|(axis, state)| run(axis, state));
+    }
+    let run = &run;
+    std::thread::scope(|scope| {
+        jobs.map(|(axis, state)| scope.spawn(move || run(axis, state)))
+            .map(|h| h.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
+    })
+}
+
+/// Three-axis compressor for batches of buffers.
+///
+/// Each axis runs the ordinary serial [`Compressor`] loop over the batch;
+/// [`ParallelOptions`] decides whether the three loops share the caller
+/// thread or get one thread each. Output is **byte-identical** to
+/// [`TrajectoryCompressor::compress_buffer`] called in order, for every
+/// worker count. The axes are always MDZ codecs.
 pub struct ParallelTrajectoryCompressor {
     axes: [Compressor; 3],
-    bound: ErrorBound,
     par: ParallelOptions,
 }
 
@@ -306,10 +332,8 @@ impl ParallelTrajectoryCompressor {
     /// initially serial — set workers with
     /// [`ParallelTrajectoryCompressor::with_parallelism`].
     pub fn new(cfg: MdzConfig) -> Self {
-        let bound = cfg.bound;
         Self {
             axes: std::array::from_fn(|_| Compressor::new(cfg.clone())),
-            bound,
             par: ParallelOptions::serial(),
         }
     }
@@ -329,37 +353,29 @@ impl ParallelTrajectoryCompressor {
     /// blob per buffer, byte-identical to
     /// [`TrajectoryCompressor::compress_buffer`] called in order.
     ///
-    /// On error the stream state is unspecified; rebuild before reuse.
+    /// The first error surfaces in buffer order, then in axis order. On
+    /// error the stream state is unspecified; rebuild before reuse.
     pub fn compress_buffers(&mut self, buffers: &[&[Frame]]) -> Result<Vec<Vec<u8>>> {
-        if buffers.iter().any(|frames| frames.is_empty()) {
-            return Err(MdzError::BadInput("buffer has no frames"));
-        }
-        // axis → buffer → snapshots
-        let series: [Vec<Vec<Vec<f64>>>; 3] = [
-            buffers.iter().map(|fs| fs.iter().map(|f| f.x.clone()).collect()).collect(),
-            buffers.iter().map(|fs| fs.iter().map(|f| f.y.clone()).collect()).collect(),
-            buffers.iter().map(|fs| fs.iter().map(|f| f.z.clone()).collect()).collect(),
-        ];
-        let refs: Vec<Vec<&[Vec<f64>]>> =
-            series.iter().map(|bufs| bufs.iter().map(Vec::as_slice).collect()).collect();
-        for axis in &mut self.axes {
-            axis.set_bound(self.bound);
-        }
-        let streams = self
-            .axes
-            .iter_mut()
-            .zip(refs.iter())
-            .map(|(axis, bufs)| (axis, bufs.as_slice()))
-            .collect();
-        let mut per_axis = compress_streams(streams, self.par.workers).into_iter();
-        let (xs, ys, zs) = (
-            per_axis.next().expect("three streams"),
-            per_axis.next().expect("three streams"),
-            per_axis.next().expect("three streams"),
-        );
-        // Surface the first failure in buffer order, then axis order.
+        let [xs, ys, zs] = on_axes(self.par.workers, &mut self.axes, |axis, comp| {
+            // One axis's snapshots, refilled per buffer.
+            let mut snapshots: Vec<Vec<f64>> = Vec::new();
+            let mut blocks = Vec::with_capacity(buffers.len());
+            for frames in buffers {
+                snapshots.resize_with(frames.len(), Vec::new);
+                for (s, f) in snapshots.iter_mut().zip(frames.iter()) {
+                    s.clone_from(f.axis(axis));
+                }
+                blocks.push(comp.compress_buffer(&snapshots));
+            }
+            blocks
+        });
         let mut out = Vec::with_capacity(buffers.len());
-        for ((x, y), z) in xs.into_iter().zip(ys).zip(zs) {
+        for (frames, ((x, y), z)) in buffers.iter().zip(xs.into_iter().zip(ys).zip(zs)) {
+            // Every axis rejected this buffer before touching its state;
+            // report it the way the serial path does.
+            if frames.is_empty() {
+                return Err(MdzError::BadInput("buffer has no frames"));
+            }
             out.push(assemble(&[x?, y?, z?]));
         }
         Ok(out)
@@ -381,12 +397,11 @@ impl ParallelTrajectoryCompressor {
     }
 }
 
-/// Three-axis decompressor that fans axis×buffer blocks across workers.
+/// Three-axis decompressor for batches of containers.
 ///
-/// The decode mirror of [`ParallelTrajectoryCompressor`]: a batch of
-/// container blobs is split into per-axis block streams and fed to
-/// [`Decompressor::decompress_blocks_parallel`]. Results match
-/// [`TrajectoryDecompressor::decompress_buffer`] called in order.
+/// The decode mirror of [`ParallelTrajectoryCompressor`]: each axis runs
+/// the ordinary serial [`Decompressor`] loop over its blocks. Results
+/// match [`TrajectoryDecompressor::decompress_buffer`] called in order.
 pub struct ParallelTrajectoryDecompressor {
     axes: [Decompressor; 3],
     par: ParallelOptions,
@@ -427,28 +442,31 @@ impl ParallelTrajectoryDecompressor {
     /// Decompresses an ordered batch of container blobs back into frame
     /// buffers.
     ///
-    /// On error the stream state is unspecified; rebuild before reuse.
+    /// The first error surfaces in buffer order, then in axis order, as
+    /// in a serial [`TrajectoryDecompressor`] loop. On error the stream
+    /// state is unspecified; rebuild before reuse.
     pub fn decompress_buffers(&mut self, containers: &[&[u8]]) -> Result<Vec<Vec<Frame>>> {
-        let split: Vec<[&[u8]; 3]> =
-            containers.iter().map(|c| split_container(c)).collect::<Result<_>>()?;
-        let blocks: Vec<Vec<&[u8]>> =
-            (0..3).map(|axis| split.iter().map(|s| s[axis]).collect()).collect();
-        let streams = self
-            .axes
-            .iter_mut()
-            .zip(blocks.iter())
-            .map(|(axis, bs)| (axis, bs.as_slice()))
-            .collect();
-        let mut per_axis = decompress_streams(streams, self.par.workers).into_iter();
-        let (xs, ys, zs) = (
-            per_axis.next().expect("three streams"),
-            per_axis.next().expect("three streams"),
-            per_axis.next().expect("three streams"),
-        );
+        // Decode only up to the first container that does not split; its
+        // error comes after any error in the buffers before it.
+        let mut split = Vec::with_capacity(containers.len());
+        let mut unsplit = Ok(());
+        for c in containers {
+            match split_container(c) {
+                Ok(blocks) => split.push(blocks),
+                Err(e) => {
+                    unsplit = Err(e);
+                    break;
+                }
+            }
+        }
+        let [xs, ys, zs] = on_axes(self.par.workers, &mut self.axes, |axis, dec| {
+            split.iter().map(|blocks| dec.decompress_block(blocks[axis])).collect::<Vec<_>>()
+        });
         let mut out = Vec::with_capacity(containers.len());
         for ((x, y), z) in xs.into_iter().zip(ys).zip(zs) {
             out.push(zip_frames(x?, y?, z?)?);
         }
+        unsplit?;
         Ok(out)
     }
 }
@@ -473,9 +491,9 @@ impl<'a> TrajReader<'a> {
 /// Streaming writer producing a [`TrajReader`]-compatible framed stream.
 ///
 /// Wraps any [`std::io::Write`] sink and a [`ParallelTrajectoryCompressor`]:
-/// each buffer of frames is compressed (fanning blocks across the
-/// configured workers), wrapped in a checksummed frame, and appended to the
-/// sink. The byte stream is identical for every worker count.
+/// each buffer of frames is compressed (one thread per axis when the
+/// configured workers exceed one), wrapped in a checksummed frame, and
+/// appended to the sink. The byte stream is identical for every worker count.
 pub struct TrajWriter<W: std::io::Write> {
     sink: W,
     comp: ParallelTrajectoryCompressor,
@@ -499,8 +517,8 @@ impl<W: std::io::Write> TrajWriter<W> {
         self.write_buffers(&[frames])
     }
 
-    /// Compresses an ordered batch of buffers (fanning axis×buffer blocks
-    /// across workers) and appends their frames to the sink in order.
+    /// Compresses an ordered batch of buffers and appends their frames to
+    /// the sink in order.
     /// Returns the total number of bytes written.
     pub fn write_buffers(&mut self, buffers: &[&[Frame]]) -> Result<usize> {
         let framed = self.comp.compress_buffers_framed(buffers)?;
@@ -575,19 +593,6 @@ mod tests {
             let blob = c.compress_buffer(&fs).unwrap();
             let out = d.decompress_buffer(&blob).unwrap();
             assert_eq!(out.len(), 4);
-        }
-    }
-
-    #[test]
-    fn parallel_output_is_byte_identical() {
-        let fs = frames(8, 150);
-        let cfg = MdzConfig::new(ErrorBound::Absolute(1e-3));
-        let mut seq = TrajectoryCompressor::new(cfg.clone());
-        let mut par = TrajectoryCompressor::new(cfg);
-        for chunk in fs.chunks(4) {
-            let a = seq.compress_buffer(chunk).unwrap();
-            let b = par.compress_buffer_parallel(chunk).unwrap();
-            assert_eq!(a, b);
         }
     }
 
@@ -678,18 +683,79 @@ mod tests {
         assert!(reader.skipped() <= 1);
     }
 
+    /// Buffers of four frames with the given atom counts, each drifted by
+    /// its index so no two buffers are alike.
+    fn batch(atoms: &[usize]) -> Vec<Vec<Frame>> {
+        atoms
+            .iter()
+            .enumerate()
+            .map(|(k, &n)| {
+                let mut fs = frames(4, n);
+                for f in &mut fs {
+                    for v in f.x.iter_mut().chain(&mut f.y).chain(&mut f.z) {
+                        *v += k as f64 * 3e-4;
+                    }
+                }
+                fs
+            })
+            .collect()
+    }
+
     #[test]
     fn parallel_batch_matches_serial_trajectory_bytes() {
-        let buffers: Vec<Vec<Frame>> = (0..5).map(|k| frames(4, 80 + k)).collect();
-        let refs: Vec<&[Frame]> = buffers.iter().map(Vec::as_slice).collect();
-        let cfg = MdzConfig::new(ErrorBound::Absolute(1e-3));
-        let mut serial = TrajectoryCompressor::new(cfg.clone());
-        let want: Vec<Vec<u8>> = refs.iter().map(|b| serial.compress_buffer(b).unwrap()).collect();
-        for workers in [1, 4] {
-            let mut par = ParallelTrajectoryCompressor::new(cfg.clone())
-                .with_parallelism(ParallelOptions::with_workers(workers));
-            assert_eq!(par.compress_buffers(&refs).unwrap(), want, "{workers} workers");
+        let mut adp = MdzConfig::new(ErrorBound::Absolute(1e-3));
+        adp.adapt_interval = 2; // several ADP trials inside one batch
+        let mut cfgs: Vec<MdzConfig> = [Method::Vq, Method::Vqt, Method::Mt, Method::Mt2]
+            .iter()
+            .map(|&m| MdzConfig::new(ErrorBound::Absolute(1e-3)).with_method(m))
+            .collect();
+        cfgs.push(adp);
+        // Steady atom count, a mid-batch change that re-establishes the MT
+        // reference, a new count every buffer, a short last buffer, one
+        // buffer, no buffers.
+        let mut short_tail = batch(&[80; 3]);
+        short_tail[2].truncate(1);
+        let batches = [
+            batch(&[80; 6]),
+            batch(&[80, 80, 60, 60, 80, 80]),
+            batch(&[80, 81, 82, 83, 84]),
+            short_tail,
+            batch(&[50]),
+            Vec::new(),
+        ];
+        let next = batch(&[80]).remove(0);
+        for cfg in &cfgs {
+            for buffers in &batches {
+                let refs: Vec<&[Frame]> = buffers.iter().map(Vec::as_slice).collect();
+                let mut serial = TrajectoryCompressor::new(cfg.clone());
+                let want: Vec<Vec<u8>> =
+                    refs.iter().map(|b| serial.compress_buffer(b).unwrap()).collect();
+                let want_next = serial.compress_buffer(&next).unwrap();
+                let mut serial_dec = TrajectoryDecompressor::new();
+                let decoded: Vec<Vec<Frame>> =
+                    want.iter().map(|c| serial_dec.decompress_buffer(c).unwrap()).collect();
+                let containers: Vec<&[u8]> = want.iter().map(Vec::as_slice).collect();
+                for workers in [1, 2, 4] {
+                    let par = ParallelOptions::with_workers(workers);
+                    let what = format!("{}, {} buffers, {workers} workers", cfg.method, refs.len());
+                    let mut comp =
+                        ParallelTrajectoryCompressor::new(cfg.clone()).with_parallelism(par);
+                    assert_eq!(comp.compress_buffers(&refs).unwrap(), want, "{what}");
+                    // The stream state after the batch is the serial path's.
+                    let after = comp.compress_buffers(&[&next]).unwrap();
+                    assert_eq!(after, std::slice::from_ref(&want_next), "{what}");
+                    let mut dec = ParallelTrajectoryDecompressor::new().with_parallelism(par);
+                    assert_eq!(dec.decompress_buffers(&containers).unwrap(), decoded, "{what}");
+                }
+            }
         }
+    }
+
+    #[test]
+    fn options_constructors() {
+        assert_eq!(ParallelOptions::default(), ParallelOptions::serial());
+        assert_eq!(ParallelOptions::with_workers(0), ParallelOptions::serial());
+        assert_eq!(ParallelOptions::with_workers(4).workers, 4);
     }
 
     #[test]

@@ -18,13 +18,14 @@ use mdz_core::format::{read_frame, write_frame, FLAGS_OFFSET, FLAG_BIT_ADAPTIVE}
 use mdz_core::traj::TrajectoryDecompressor;
 use mdz_core::{
     Codec, Compressor, DecodeLimits, Decompressor, EntropyStage, ErrorBound, Frame, MdzCodec,
-    MdzConfig, Method, ParallelOptions, QuantizerKind, TrajReader, TrajectoryCompressor,
+    MdzConfig, MdzError, Method, ParallelOptions, ParallelTrajectoryDecompressor, QuantizerKind,
+    TrajReader, TrajectoryCompressor,
 };
 use mdz_entropy::{
     huffman_decode_at_limited, huffman_encode, range_decode_at_limited, range_encode, StreamLimits,
 };
 use mdz_fuzz::{default_iters, CountingAlloc, Mutator};
-use mdz_lossless::{lz77, rle};
+use mdz_lossless::lz77;
 use mdz_store::{
     append_store, write_store, FrameDecoder, MemIo, Precision, ReaderOptions, Request,
     StoreOptions, StoreReader,
@@ -186,24 +187,6 @@ fn fuzz_lz77_decompress() {
         }
         if input == seeds[base_idx] {
             assert!(got.is_ok() && out == refs[base_idx], "identity input must decode");
-        }
-    });
-}
-
-#[test]
-fn fuzz_rle_decompress() {
-    let seeds = vec![
-        rle::compress(&vec![7u8; 5000]),
-        rle::compress(&(0..1000).map(|i| (i / 100) as u8).collect::<Vec<_>>()),
-        rle::compress(&[]),
-    ];
-    let limits = StreamLimits::with_max_items(1 << 20);
-    let refs: Vec<Vec<u8>> =
-        seeds.iter().map(|s| rle::decompress_limited(s, &limits).expect("seed decodes")).collect();
-    campaign("rle", 0x4d445a04, &seeds.clone(), 8 * MB, |_, base_idx, input| {
-        let got = rle::decompress_limited(input, &limits);
-        if input == seeds[base_idx] {
-            assert_eq!(got.as_ref().ok(), Some(&refs[base_idx]), "identity input must decode");
         }
     });
 }
@@ -400,43 +383,59 @@ fn fuzz_frame_layer_and_reader() {
     });
 }
 
+/// Decoded frames as raw bits, so NaNs forged into escapes compare equal.
+fn frame_bits(decoded: Result<Vec<Vec<Frame>>, MdzError>) -> Result<Vec<Vec<Vec<u64>>>, MdzError> {
+    Ok(decoded?
+        .iter()
+        .map(|buf| {
+            buf.iter()
+                .map(|f| f.x.iter().chain(&f.y).chain(&f.z).map(|v| v.to_bits()).collect())
+                .collect()
+        })
+        .collect())
+}
+
 #[test]
 fn fuzz_concurrent_block_decode_differential() {
-    // Batched decode must be indistinguishable from the serial loop on
-    // hostile input: identical values when every block decodes, identical
-    // first error otherwise. Worker fan-out must never change acceptance.
-    let seeds = vec![
-        block(Method::Vq, EntropyStage::Huffman),
-        block(Method::Mt, EntropyStage::Huffman),
-        block(Method::Vqt, EntropyStage::Range),
-        f32_block(),
-    ];
+    // Batched trajectory decode on axis threads must be indistinguishable
+    // from the serial loop on hostile input: identical frames when every
+    // container decodes, identical first error otherwise. Threading must
+    // never change acceptance.
+    let seeds: Vec<Vec<u8>> = [
+        (Method::Vq, EntropyStage::Huffman),
+        (Method::Mt, EntropyStage::Huffman),
+        (Method::Vqt, EntropyStage::Range),
+        (Method::Adaptive, EntropyStage::Huffman),
+    ]
+    .iter()
+    .map(|&(method, entropy)| {
+        let cfg =
+            MdzConfig::new(ErrorBound::Absolute(1e-4)).with_method(method).with_entropy(entropy);
+        TrajectoryCompressor::new(cfg).compress_buffer(&frames(120, 4)).unwrap()
+    })
+    .collect();
     let limits = tight_limits();
     let opts = ParallelOptions::with_workers(4);
     campaign("concurrent-decode", 0x4d445a0a, &seeds.clone(), 256 * MB, |_, base_idx, input| {
-        // The mutated block rides between two intact seeds so an error can
-        // land at any slot and reference state carries across slots.
+        // The mutated container rides between two intact seeds so an error
+        // can land at any slot and reference state carries across slots.
         let batch: [&[u8]; 3] = [&seeds[base_idx], input, &seeds[(base_idx + 1) % seeds.len()]];
-        let serial: Vec<_> = {
-            let mut dec = Decompressor::with_limits(limits);
-            batch.iter().map(|b| dec.decompress_block(b)).collect()
+        let serial = {
+            let axes: [Box<dyn Codec>; 3] = std::array::from_fn(|_| {
+                Box::new(MdzCodec::default().with_decode_limits(limits)) as Box<dyn Codec>
+            });
+            let mut dec = TrajectoryDecompressor::from_codecs(axes);
+            batch.iter().map(|c| dec.decompress_buffer(c)).collect()
         };
-        let parallel = Decompressor::with_limits(limits).decompress_blocks_parallel(&batch, &opts);
-        match serial.iter().find_map(|r| r.as_ref().err()) {
-            None => {
-                let expected: Vec<_> = serial.into_iter().map(Result::unwrap).collect();
-                assert_eq!(
-                    parallel.as_ref().ok(),
-                    Some(&expected),
-                    "parallel decode diverged from a clean serial loop"
-                );
-            }
-            Some(first_err) => assert_eq!(
-                parallel.as_ref().err(),
-                Some(first_err),
-                "parallel decode surfaced a different first error"
-            ),
-        }
+        let parallel = ParallelTrajectoryDecompressor::new()
+            .with_decode_limits(limits)
+            .with_parallelism(opts)
+            .decompress_buffers(&batch);
+        assert_eq!(
+            frame_bits(parallel),
+            frame_bits(serial),
+            "parallel trajectory decode diverged from the serial loop"
+        );
     });
 }
 

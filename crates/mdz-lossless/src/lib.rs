@@ -11,8 +11,7 @@
 //! * [`gorilla`] — Facebook Gorilla XOR compression for `f64` streams,
 //! * [`fpc`] — Burtscher & Ratanaworabhan's FCM/DFCM predictor codec,
 //! * [`fpzip_like`] — difference-predicted, leading-zero-coded float codec in
-//!   the spirit of fpzip,
-//! * [`rle`] — byte run-length coding (used in tests and as a reference).
+//!   the spirit of fpzip.
 //!
 //! All decoders return [`mdz_entropy::EntropyError`] on malformed input.
 
@@ -22,7 +21,6 @@ pub mod fpc;
 pub mod fpzip_like;
 pub mod gorilla;
 pub mod lz77;
-pub mod rle;
 
 pub use lz77::{compress as lz_compress, decompress as lz_decompress, Level};
 pub use mdz_entropy::StreamLimits;

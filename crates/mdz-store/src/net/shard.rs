@@ -255,6 +255,9 @@ impl<'a> Shard<'a> {
     fn run(&mut self) -> std::io::Result<()> {
         let mut events: Vec<Event> = Vec::new();
         let wake_fd = self.shared.wakes[self.id].read_fd();
+        // The gauge is otherwise written after each tick, and a shard no
+        // connection lands on first ticks only when its poll times out.
+        self.obs.gauge(conn_gauge(self.id), 0);
         loop {
             self.poller.wait(&mut events, self.cfg.drain_poll_clamped())?;
             if !events.is_empty() {

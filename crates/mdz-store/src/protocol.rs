@@ -1089,7 +1089,7 @@ mod tests {
     fn metrics_round_trip() {
         let m = MetricsSnapshot {
             counters: vec![("store.requests".into(), 7), ("server.requests.get".into(), 3)],
-            gauges: vec![("core.parallel.queue_depth".into(), 12)],
+            gauges: vec![("server.net.shard0.connections".into(), 12)],
             histograms: vec![HistogramSnapshot {
                 name: "server.request_seconds".into(),
                 count: 7,

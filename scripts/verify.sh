@@ -34,10 +34,10 @@ cargo test --workspace --doc --quiet
 echo "==> fuzz smoke (MDZ_FUZZ_ITERS=${MDZ_FUZZ_ITERS:-5000})"
 MDZ_FUZZ_ITERS="${MDZ_FUZZ_ITERS:-5000}" cargo test -p mdz-fuzz --release --quiet
 
-# Parallel engine gate: byte-identity across worker counts, then a
+# Parallel trajectory gate: byte-identity across worker counts, then a
 # 1-repetition throughput smoke whose JSON artifact is schema-checked by
 # the same validator EXPERIMENTS.md's numbers went through.
-echo "==> parallel determinism (serial vs workers=4)"
+echo "==> parallel determinism (serial vs 1, 2 and 4 workers)"
 cargo test -p mdz-core --release --quiet --test parallel_determinism
 
 echo "==> throughput smoke (1 rep, JSON schema check)"
